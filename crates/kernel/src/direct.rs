@@ -1,8 +1,9 @@
 //! Direct-execution backend for untimed models.
 //!
-//! The delta-cycle kernel pays for generality: every blocking call crosses
-//! the scheduler (two rendezvous channel hops), every notification takes the
-//! kernel lock, and at most one process runs at a time. A model that never
+//! The delta-cycle kernel pays for generality: every blocking call passes
+//! through the scheduler (an OS thread wake whenever another process runs
+//! next), every notification takes the kernel lock, and at most one process
+//! runs at a time. A model that never
 //! observes simulated time needs none of that — its semantics are fully
 //! determined by the channel protocols alone. This module executes such a
 //! model *directly*: each thread process becomes a free-running OS thread,

@@ -11,17 +11,27 @@
 //! 4. **Time advance** — otherwise pop the earliest timed notifications and
 //!    advance [`SimTime`].
 //!
-//! Thread processes are real OS threads, but exactly one process runs at any
-//! instant: the kernel resumes a process and blocks until it yields, so the
-//! simulation is fully deterministic.
+//! Thread processes are real OS threads, but exactly one thread holds the
+//! *baton* — the right to run the scheduler or a process body — at any
+//! instant, so the simulation is fully deterministic. `run` starts the
+//! scheduler on the calling thread. When a thread process is due, the
+//! baton holder posts a [`Resume`] into that process's [`WakeSlot`],
+//! unparks its thread and parks itself. A process that yields (or
+//! terminates) runs the scheduler inline on its own thread — methods,
+//! updates, delta and time-advance phases included — until the next thread
+//! process is due: it resumes that one and parks, or simply returns when
+//! the next process is itself. A switch between two threads therefore
+//! costs one OS wake, and a re-dispatch of the same thread or a method
+//! costs none. Whoever ends the run hands the outcome (a [`RunResult`] or
+//! a panic payload) to the thread blocked in `run`, which returns it or
+//! re-raises the panic there.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 use crate::liveness::{
@@ -79,15 +89,45 @@ pub struct RunResult {
     pub reason: StopReason,
 }
 
+/// What a parked process thread is woken with.
 pub(crate) enum Resume {
+    /// Run on; carries the event that woke the process, if any.
     Go(Option<EventId>),
+    /// The simulation is being dropped: unwind the body.
     Kill,
 }
 
-pub(crate) enum YieldMsg {
-    Yielded,
-    Terminated,
-    Panicked(String),
+/// The one-message mailbox a process thread parks on. The baton holder
+/// stores a [`Resume`] and unparks the thread; the thread re-checks the
+/// slot after every wake-up, so early or spurious unparks are harmless.
+#[derive(Default)]
+pub(crate) struct WakeSlot(Mutex<Option<Resume>>);
+
+impl WakeSlot {
+    fn post(&self, msg: Resume, thread: &Thread) {
+        *self.0.lock().unwrap_or_else(|e| e.into_inner()) = Some(msg);
+        thread.unpark();
+    }
+
+    /// Parks the calling thread until a message is posted, and takes it.
+    pub(crate) fn wait(&self) -> Resume {
+        loop {
+            let msg = self.0.lock().unwrap_or_else(|e| e.into_inner()).take();
+            if let Some(msg) = msg {
+                return msg;
+            }
+            std::thread::park();
+        }
+    }
+}
+
+/// Where the scheduler stopped.
+enum Next {
+    /// A thread process is due; resume it with the wake cause.
+    Thread(ProcessId, Option<EventId>),
+    /// The run is over: its result, or the payload of the panic that
+    /// ended it.
+    Done(std::thread::Result<RunResult>),
 }
 
 /// Marker panic payload used to unwind a process thread when the simulation
@@ -115,12 +155,8 @@ enum ProcKind {
 pub(crate) type MethodFn = Box<dyn FnMut(&mut MethodApi) + Send>;
 
 struct ThreadLink {
-    /// `None` after teardown dropped it to force a blocked `recv` to error
-    /// out (the `KillToken` unwind path).
-    resume_tx: Option<SyncSender<Resume>>,
-    /// Wrapped in its own mutex so the kernel can block on a yield without
-    /// holding the main kernel lock.
-    yield_rx: Arc<Mutex<Receiver<YieldMsg>>>,
+    slot: Arc<WakeSlot>,
+    /// `None` once teardown has taken it to join the thread.
     join: Option<JoinHandle<()>>,
 }
 
@@ -164,6 +200,20 @@ pub(crate) struct Inner {
     timed: BinaryHeap<TimedEntry>,
     timed_seq: u64,
     update_requests: Vec<UpdateFn>,
+    // --- State of the `run` call in progress, read by whichever thread
+    // holds the baton.
+    limit: Option<SimTime>,
+    deadline: Option<Instant>,
+    /// Swapped with `delta_queue` each delta cycle so both allocations are
+    /// reused for the whole run.
+    delta_scratch: Vec<EventId>,
+    /// The thread blocked in `run` once it handed the baton on, and the
+    /// outcome it waits for.
+    caller: Option<Thread>,
+    outcome: Option<std::thread::Result<RunResult>>,
+    /// Profiler probes left open across thread dispatches.
+    eval_probe: Option<Instant>,
+    dispatch_probe: Option<(ProcessId, Instant)>,
 }
 
 /// Kernel state shared between the scheduler, process contexts and channels.
@@ -202,6 +252,13 @@ impl KernelShared {
                 timed: BinaryHeap::new(),
                 timed_seq: 0,
                 update_requests: Vec::new(),
+                limit: None,
+                deadline: None,
+                delta_scratch: Vec::new(),
+                caller: None,
+                outcome: None,
+                eval_probe: None,
+                dispatch_probe: None,
             }),
             tracer: Mutex::new(None),
             liveness: Mutex::new(Registry::default()),
@@ -280,19 +337,7 @@ impl KernelShared {
         }
         self.disqualify_if_direct(crate::direct::Construct::NotifyAfter);
         let mut g = self.lock();
-        // Saturate instead of panicking: SimTime::MAX is the documented
-        // "infinite horizon", so an overflowing notification simply lands
-        // there (and never fires within any finite run).
-        let at = g.now.checked_add(d).unwrap_or(SimTime::MAX);
-        // SystemC keeps a single pending notification per event; an earlier
-        // one overrides a later one.
-        match g.events[id.0].timed_at {
-            Some(t) if t <= at => return,
-            _ => g.events[id.0].timed_at = Some(at),
-        }
-        let seq = g.timed_seq;
-        g.timed_seq += 1;
-        g.timed.push(Reverse((at, seq, id)));
+        Self::mark_timed(&mut g, id, d);
     }
 
     /// Cancels any pending (delta or timed) notification.
@@ -309,6 +354,23 @@ impl KernelShared {
             g.events[id.0].delta_pending = true;
             g.delta_queue.push(id);
         }
+    }
+
+    /// Schedules a timed notification of `id` after a non-zero `d`.
+    fn mark_timed(g: &mut Inner, id: EventId, d: SimDur) {
+        // Saturate instead of panicking: SimTime::MAX is the documented
+        // "infinite horizon", so an overflowing notification simply lands
+        // there (and never fires within any finite run).
+        let at = g.now.checked_add(d).unwrap_or(SimTime::MAX);
+        // SystemC keeps a single pending notification per event; an earlier
+        // one overrides a later one.
+        match g.events[id.0].timed_at {
+            Some(t) if t <= at => return,
+            _ => g.events[id.0].timed_at = Some(at),
+        }
+        let seq = g.timed_seq;
+        g.timed_seq += 1;
+        g.timed.push(Reverse((at, seq, id)));
     }
 
     /// Fires `id`: wakes dynamic waiters and triggers static-sensitive
@@ -354,23 +416,44 @@ impl KernelShared {
         }
         p.state = PState::Ready;
         p.wake_cause = cause;
-        let waiting = std::mem::take(&mut p.waiting_on);
+        let mut waiting = std::mem::take(&mut p.waiting_on);
         // Deregister from every other event of a `wait_any` group.
-        for eid in waiting {
+        for eid in waiting.drain(..) {
             g.events[eid.0].waiters.retain(|w| *w != pid);
         }
+        // Hand the allocation back for the process's next wait.
+        g.processes[pid.0].waiting_on = waiting;
         g.runnable.push_back(pid);
     }
 
     /// Registers a dynamic wait of `pid` on each event in `ids`.
     pub(crate) fn register_wait(&self, pid: ProcessId, ids: &[EventId]) {
-        let mut g = self.lock();
+        Self::register(&mut self.lock(), pid, ids);
+    }
+
+    fn register(g: &mut Inner, pid: ProcessId, ids: &[EventId]) {
         g.processes[pid.0].state = PState::Waiting;
         g.processes[pid.0].wake_cause = None;
         for id in ids {
             g.processes[pid.0].waiting_on.push(*id);
             g.events[id.0].waiters.push(pid);
         }
+    }
+
+    /// Arms the private timer of `pid` to fire after `d` (next delta when
+    /// `d` is zero) and registers the wait on it, under one lock.
+    pub(crate) fn wait_timer(&self, pid: ProcessId, d: SimDur) {
+        if !d.is_zero() {
+            self.disqualify_if_direct(crate::direct::Construct::NotifyAfter);
+        }
+        let mut g = self.lock();
+        let timer = g.processes[pid.0].timer;
+        if d.is_zero() {
+            Self::mark_delta(&mut g, timer);
+        } else {
+            Self::mark_timed(&mut g, timer, d);
+        }
+        Self::register(&mut g, pid, &[timer]);
     }
 
     pub(crate) fn request_update(&self, f: UpdateFn) {
@@ -384,62 +467,56 @@ impl KernelShared {
         body: Box<dyn FnOnce(&mut crate::process::ThreadCtx) + Send>,
     ) -> ProcessId {
         self.disqualify_if_direct(crate::direct::Construct::DynamicProcess);
-        let (resume_tx, resume_rx) = sync_channel::<Resume>(1);
-        let (yield_tx, yield_rx) = sync_channel::<YieldMsg>(1);
         let timer = self.new_event(&format!("{name}.timer"));
-        let pid = {
-            let mut g = self.lock();
-            let pid = ProcessId(g.processes.len());
-            g.processes.push(ProcRec {
-                name: Arc::from(name),
-                kind: ProcKind::Thread(ThreadLink {
-                    resume_tx: Some(resume_tx),
-                    yield_rx: Arc::new(Mutex::new(yield_rx)),
-                    join: None,
-                }),
-                // Newly spawned processes start runnable (SystemC default
-                // initialization); during a run they join the current
-                // evaluate phase.
-                state: PState::Ready,
-                waiting_on: Vec::new(),
-                wake_cause: None,
-                timer,
-            });
-            g.runnable.push_back(pid);
-            pid
-        };
+        let slot = Arc::new(WakeSlot::default());
+        let mut g = self.lock();
+        let pid = ProcessId(g.processes.len());
         let kernel = Arc::clone(self);
+        let thread_slot = Arc::clone(&slot);
+        // Spawned under the lock so the handle is in the table before any
+        // dispatch can look for it; the new thread only parks on its slot.
         let join = std::thread::Builder::new()
             .name(name.to_string())
             .spawn(move || {
-                // Wait for the first resume before running the body.
-                match resume_rx.recv() {
-                    Ok(Resume::Go(_)) => {}
-                    Ok(Resume::Kill) | Err(_) => return,
+                // Park until the first dispatch before running the body.
+                if let Resume::Kill = thread_slot.wait() {
+                    return;
                 }
-                let mut ctx =
-                    crate::process::ThreadCtx::new(kernel, pid, resume_rx, yield_tx.clone());
+                let mut ctx = crate::process::ThreadCtx::new(Arc::clone(&kernel), pid, thread_slot);
                 let result = panic::catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
-                match result {
-                    Ok(()) => {
-                        let _ = yield_tx.send(YieldMsg::Terminated);
-                    }
+                let panicked = match result {
+                    Ok(()) => None,
+                    // The simulation is tearing down and nobody is
+                    // listening: exit quietly.
+                    Err(payload) if payload.is::<KillToken>() => return,
                     Err(payload) => {
-                        if payload.downcast_ref::<KillToken>().is_none() {
-                            // `&payload` would coerce the Box itself to
-                            // `&dyn Any` and never downcast; deref first.
-                            let msg = panic_message(&*payload);
-                            let _ = yield_tx.send(YieldMsg::Panicked(msg));
-                        }
-                        // On KillToken the simulation is tearing down and
-                        // nobody is listening: exit quietly.
+                        // `&payload` would coerce the Box itself to
+                        // `&dyn Any` and never downcast; deref first.
+                        let msg = panic_message(&*payload);
+                        let name = kernel.process_name(pid);
+                        let payload: Box<dyn std::any::Any + Send> =
+                            Box::new(format!("process '{name}' panicked: {msg}"));
+                        Some(payload)
                     }
-                }
+                };
+                kernel.exit_process(pid, panicked);
             })
             .expect("failed to spawn process thread");
-        if let ProcKind::Thread(link) = &mut self.lock().processes[pid.0].kind {
-            link.join = Some(join);
-        }
+        g.processes.push(ProcRec {
+            name: Arc::from(name),
+            kind: ProcKind::Thread(ThreadLink {
+                slot,
+                join: Some(join),
+            }),
+            // Newly spawned processes start runnable (SystemC default
+            // initialization); during a run they join the current
+            // evaluate phase.
+            state: PState::Ready,
+            waiting_on: Vec::new(),
+            wake_cause: None,
+            timer,
+        });
+        g.runnable.push_back(pid);
         pid
     }
 
@@ -484,96 +561,217 @@ impl KernelShared {
     }
 
     /// Runs the scheduler until `limit`, stop, starvation or watchdog
-    /// expiry.
+    /// expiry. The calling thread schedules until the first thread process
+    /// is due, then sleeps until whichever thread ends the run hands it the
+    /// outcome; a panic that ended the run is re-raised here.
     pub(crate) fn run(self: &Arc<Self>, limit: Option<SimTime>) -> RunResult {
-        {
-            let mut g = self.lock();
-            g.started = true;
-            g.stop_requested = false;
-        }
         let deadline = self
             .watchdog
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .map(|budget| Instant::now() + budget);
-        // Swapped with `delta_queue` each delta cycle so the queue's
-        // allocation is reused for the whole run instead of dropped per
-        // cycle.
-        let mut delta_scratch: Vec<EventId> = Vec::new();
-        loop {
-            // --- Phase 1: evaluate ----------------------------------------
-            let probe = self.profiler.start();
-            loop {
-                if let Some(dl) = deadline {
-                    if Instant::now() >= dl {
-                        return RunResult {
-                            time: self.now(),
-                            reason: StopReason::Watchdog,
-                        };
+        {
+            let mut g = self.lock();
+            g.started = true;
+            g.stop_requested = false;
+            g.limit = limit;
+            g.deadline = deadline;
+            g.eval_probe = self.profiler.start();
+        }
+        let outcome = match self.schedule() {
+            Next::Done(outcome) => outcome,
+            Next::Thread(pid, cause) => {
+                self.lock().caller = Some(std::thread::current());
+                self.resume(pid, cause);
+                loop {
+                    let outcome = self.lock().outcome.take();
+                    if let Some(outcome) = outcome {
+                        break outcome;
                     }
+                    std::thread::park();
                 }
-                let next = {
-                    let mut g = self.lock();
-                    g.runnable.pop_front()
-                };
-                let Some(pid) = next else { break };
-                self.dispatch(pid);
             }
+        };
+        outcome.unwrap_or_else(|payload| panic::resume_unwind(payload))
+    }
+
+    /// Called on a process thread right after its process registered a
+    /// wait: passes the baton on and returns the wake cause once the
+    /// process is resumed. Unwinds with [`KillToken`] on teardown.
+    pub(crate) fn yield_process(
+        self: &Arc<Self>,
+        pid: ProcessId,
+        slot: &WakeSlot,
+    ) -> Option<EventId> {
+        match self.schedule() {
+            Next::Thread(next, cause) if next == pid => return cause,
+            Next::Thread(next, cause) => self.resume(next, cause),
+            Next::Done(outcome) => self.finish(outcome),
+        }
+        match slot.wait() {
+            Resume::Go(cause) => cause,
+            // `resume_unwind` skips the panic hook, so teardown is quiet.
+            Resume::Kill => panic::resume_unwind(Box::new(KillToken)),
+        }
+    }
+
+    /// Called on a process thread whose body returned (`panicked` is
+    /// `None`) or panicked: passes the baton on, or ends the run with the
+    /// panic.
+    fn exit_process(
+        self: &Arc<Self>,
+        pid: ProcessId,
+        panicked: Option<Box<dyn std::any::Any + Send>>,
+    ) {
+        self.lock().processes[pid.0].state = PState::Terminated;
+        let next = match panicked {
+            Some(payload) => Next::Done(Err(payload)),
+            None => self.schedule(),
+        };
+        match next {
+            Next::Thread(next, cause) => self.resume(next, cause),
+            Next::Done(outcome) => self.finish(outcome),
+        }
+    }
+
+    /// Wakes thread process `pid` with `cause`.
+    fn resume(&self, pid: ProcessId, cause: Option<EventId>) {
+        let (slot, thread) = match &self.lock().processes[pid.0].kind {
+            ProcKind::Thread(ThreadLink {
+                slot,
+                join: Some(join),
+            }) => (Arc::clone(slot), join.thread().clone()),
+            _ => unreachable!("only live thread processes are resumed"),
+        };
+        slot.post(Resume::Go(cause), &thread);
+    }
+
+    /// Ends the run from a process thread: hands `outcome` to the thread
+    /// blocked in `run` and wakes it.
+    fn finish(&self, outcome: std::thread::Result<RunResult>) {
+        let caller = {
+            let mut g = self.lock();
+            g.outcome = Some(outcome);
+            g.caller.take()
+        };
+        caller
+            .expect("a run handed to a process thread has a waiting caller")
+            .unpark();
+    }
+
+    /// Runs the scheduler from the current point of the evaluate phase until
+    /// a thread process is due or the run ends. Executed by whichever thread
+    /// holds the baton. A panic in a method, an update callback or the
+    /// kernel itself ends the run with that panic's payload.
+    fn schedule(self: &Arc<Self>) -> Next {
+        panic::catch_unwind(AssertUnwindSafe(|| self.schedule_phases()))
+            .unwrap_or_else(|payload| Next::Done(Err(payload)))
+    }
+
+    /// The scheduler loop proper. The kernel lock is held throughout except
+    /// around method bodies and update callbacks, which may take it.
+    fn schedule_phases(self: &Arc<Self>) -> Next {
+        let mut g = self.lock();
+        if let Some((pid, t0)) = g.dispatch_probe.take() {
+            let name = Arc::clone(&g.processes[pid.0].name);
+            self.profiler.record_process(name, t0.elapsed());
+        }
+        loop {
+            // --- Phase 1: evaluate (re-entered after every thread dispatch)
+            loop {
+                if g.deadline.is_some_and(|dl| Instant::now() >= dl) {
+                    return Next::Done(Ok(RunResult {
+                        time: g.now,
+                        reason: StopReason::Watchdog,
+                    }));
+                }
+                let Some(pid) = g.runnable.pop_front() else {
+                    break;
+                };
+                let p = &mut g.processes[pid.0];
+                if p.state == PState::Terminated {
+                    continue;
+                }
+                let cause = p.wake_cause.take();
+                // The process is "waiting" unless it re-registers; a thread
+                // always registers a new wait before yielding.
+                p.state = PState::Waiting;
+                let f = match &mut p.kind {
+                    ProcKind::Thread(_) => {
+                        g.dispatch_probe = self.profiler.start().map(|t0| (pid, t0));
+                        return Next::Thread(pid, cause);
+                    }
+                    ProcKind::Method(slot) => slot.take(),
+                };
+                let Some(mut f) = f else { continue };
+                drop(g);
+                let probe = self.profiler.start();
+                f(&mut MethodApi {
+                    kernel: Arc::clone(self),
+                    cause,
+                });
+                g = self.lock();
+                let p = &mut g.processes[pid.0];
+                if let ProcKind::Method(slot) = &mut p.kind {
+                    *slot = Some(f);
+                }
+                if let Some(t0) = probe {
+                    let name = Arc::clone(&p.name);
+                    self.profiler.record_process(name, t0.elapsed());
+                }
+            }
+            let probe = g.eval_probe.take();
             self.profiler.record_phase(PHASE_EVALUATE, probe);
 
             // --- Phase 2: update ------------------------------------------
             let probe = self.profiler.start();
-            let updates = {
-                let mut g = self.lock();
-                std::mem::take(&mut g.update_requests)
-            };
-            for u in updates {
-                u(self);
+            if !g.update_requests.is_empty() {
+                let updates = std::mem::take(&mut g.update_requests);
+                drop(g);
+                for u in updates {
+                    u(self);
+                }
+                g = self.lock();
             }
             self.profiler.record_phase(PHASE_UPDATE, probe);
 
             // --- Phase 3: delta notification ------------------------------
             let probe = self.profiler.start();
-            let woke = {
-                let mut g = self.lock();
-                std::mem::swap(&mut g.delta_queue, &mut delta_scratch);
-                for id in delta_scratch.drain(..) {
-                    if g.events[id.0].delta_pending {
-                        g.events[id.0].delta_pending = false;
-                        Self::fire(&mut g, id);
-                    }
+            let mut batch = std::mem::take(&mut g.delta_scratch);
+            std::mem::swap(&mut g.delta_queue, &mut batch);
+            for id in batch.drain(..) {
+                if g.events[id.0].delta_pending {
+                    g.events[id.0].delta_pending = false;
+                    Self::fire(&mut g, id);
                 }
-                if g.runnable.is_empty() {
-                    false
-                } else {
-                    g.delta_count += 1;
-                    true
-                }
-            };
+            }
+            g.delta_scratch = batch;
+            let woke = !g.runnable.is_empty();
             self.profiler.record_phase(PHASE_DELTA, probe);
             if woke {
+                g.delta_count += 1;
+                g.eval_probe = self.profiler.start();
                 continue;
             }
 
-            if self.lock().stop_requested {
-                return RunResult {
-                    time: self.now(),
+            if g.stop_requested {
+                return Next::Done(Ok(RunResult {
+                    time: g.now,
                     reason: StopReason::Stopped,
-                };
+                }));
             }
 
             // --- Phase 4: time advance ------------------------------------
             // Early returns (starvation / time limit) skip the probe close;
             // a final partial phase is noise for a profile anyway.
             let probe = self.profiler.start();
-            let mut g = self.lock();
             let target = loop {
                 match g.timed.peek() {
                     None => {
-                        return RunResult {
+                        return Next::Done(Ok(RunResult {
                             time: g.now,
                             reason: StopReason::Starved,
-                        }
+                        }))
                     }
                     Some(Reverse((t, _, id))) => {
                         // Skip entries whose notification was cancelled or
@@ -585,13 +783,13 @@ impl KernelShared {
                     }
                 }
             };
-            if let Some(lim) = limit {
+            if let Some(lim) = g.limit {
                 if target > lim {
                     g.now = lim;
-                    return RunResult {
+                    return Next::Done(Ok(RunResult {
                         time: lim,
                         reason: StopReason::TimeLimit,
-                    };
+                    }));
                 }
             }
             g.now = target;
@@ -606,133 +804,48 @@ impl KernelShared {
                     Self::fire(&mut g, id);
                 }
             }
-            drop(g);
             self.profiler.record_phase(PHASE_ADVANCE, probe);
+            g.eval_probe = self.profiler.start();
         }
     }
 
-    fn dispatch(self: &Arc<Self>, pid: ProcessId) {
-        enum Action {
-            Thread {
-                cause: Option<EventId>,
-                resume_tx: SyncSender<Resume>,
-                yield_rx: Arc<Mutex<Receiver<YieldMsg>>>,
-            },
-            Method {
-                f: MethodFn,
-                cause: Option<EventId>,
-            },
-            Skip,
-        }
-        let action = {
-            let mut g = self.lock();
-            let p = &mut g.processes[pid.0];
-            if p.state == PState::Terminated {
-                Action::Skip
-            } else {
-                let cause = p.wake_cause.take();
-                // The process is "waiting" unless it re-registers; a thread
-                // always registers a new wait before yielding.
-                p.state = PState::Waiting;
-                match &mut p.kind {
-                    ProcKind::Thread(link) => match &link.resume_tx {
-                        Some(tx) => Action::Thread {
-                            cause,
-                            resume_tx: tx.clone(),
-                            yield_rx: Arc::clone(&link.yield_rx),
-                        },
-                        // Torn down mid-flight: nothing left to resume.
-                        None => Action::Skip,
-                    },
-                    ProcKind::Method(slot) => match slot.take() {
-                        Some(f) => Action::Method { f, cause },
-                        None => Action::Skip,
-                    },
-                }
-            }
-        };
-        let probe = self.profiler.start();
-        match action {
-            Action::Skip => {}
-            Action::Thread {
-                cause,
-                resume_tx,
-                yield_rx,
-            } => {
-                resume_tx
-                    .send(Resume::Go(cause))
-                    .expect("process thread vanished");
-                let msg = {
-                    let rx = yield_rx.lock().unwrap_or_else(|e| e.into_inner());
-                    rx.recv()
-                        .expect("process thread disconnected without yielding")
-                };
-                match msg {
-                    YieldMsg::Yielded => {}
-                    YieldMsg::Terminated => {
-                        self.lock().processes[pid.0].state = PState::Terminated;
-                    }
-                    YieldMsg::Panicked(m) => {
-                        let name = self.process_name(pid);
-                        panic!("process '{name}' panicked: {m}");
-                    }
-                }
-            }
-            Action::Method { mut f, cause } => {
-                let mut api = MethodApi {
-                    kernel: Arc::clone(self),
-                    cause,
-                };
-                f(&mut api);
-                let mut g = self.lock();
-                if let ProcKind::Method(slot) = &mut g.processes[pid.0].kind {
-                    *slot = Some(f);
-                }
-            }
-        }
-        if let Some(t0) = probe {
-            self.profiler
-                .record_process(self.process_name(pid), t0.elapsed());
-        }
-    }
-
-    /// Kills and joins every live process thread. Called on simulation drop.
+    /// Kills and joins every live process thread and drops every method
+    /// and pending update. Called on simulation drop.
     ///
-    /// Each thread is parked either in its initial `recv` (never dispatched)
-    /// or inside `yield_now` waiting for a resume. `Resume::Kill` unwinds it
-    /// via the `KillToken` panic payload. Dropping the kernel-side sender as
-    /// well guarantees the `recv` errors out even if the kill message could
-    /// not be buffered, so teardown can never hang on a live thread.
+    /// Each thread is parked on its wake slot, either before its first
+    /// dispatch or inside a yield; `Resume::Kill` unwinds it via the
+    /// `KillToken` panic payload. Method closures and update callbacks
+    /// often own an `Event` or `Signal`, i.e. an `Arc` of this kernel:
+    /// left in the table they would keep the kernel alive forever.
     pub(crate) fn teardown(&self) {
-        type LinkParts = (Option<SyncSender<Resume>>, Option<JoinHandle<()>>);
-        let links: Vec<LinkParts> = {
+        let mut threads = Vec::new();
+        let mut methods = Vec::new();
+        let updates = {
             let mut g = self.lock();
-            g.processes
-                .iter_mut()
-                .map(|p| {
-                    p.state = PState::Terminated;
-                    match &mut p.kind {
-                        ProcKind::Thread(link) => (link.resume_tx.take(), link.join.take()),
-                        ProcKind::Method(_) => (None, None),
+            for p in &mut g.processes {
+                p.state = PState::Terminated;
+                match &mut p.kind {
+                    ProcKind::Thread(link) => {
+                        if let Some(join) = link.join.take() {
+                            threads.push((Arc::clone(&link.slot), join));
+                        }
                     }
-                })
-                .collect()
-        };
-        // First wave: send kills / drop senders without joining, so sibling
-        // processes are all unblocked before we wait on any of them.
-        let joins: Vec<JoinHandle<()>> = links
-            .into_iter()
-            .filter_map(|(tx, join)| {
-                if let Some(tx) = tx {
-                    let _ = tx.try_send(Resume::Kill);
-                    // `tx` drops here: a full buffer still ends in a
-                    // disconnect error on the thread's next recv.
+                    ProcKind::Method(f) => methods.extend(f.take()),
                 }
-                join
-            })
-            .collect();
-        for j in joins {
-            let _ = j.join();
+            }
+            std::mem::take(&mut g.update_requests)
+        };
+        // Dropped outside the lock: a closure may hold the last handle of
+        // an object whose drop takes it.
+        drop(methods);
+        drop(updates);
+        // Post every kill before joining any thread, so sibling processes
+        // are all unblocked before we wait on any of them.
+        for (slot, join) in &threads {
+            slot.post(Resume::Kill, join.thread());
+        }
+        for (_, join) in threads {
+            let _ = join.join();
         }
     }
 

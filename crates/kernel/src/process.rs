@@ -2,25 +2,23 @@
 //! waits, observes time and interacts with the kernel.
 
 use std::fmt;
-use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, OnceLock};
 
 use crate::direct::{Construct, DirectCore};
 use crate::event::Event;
-use crate::kernel::{EventId, KernelShared, KillToken, ProcessId, Resume, YieldMsg};
+use crate::kernel::{EventId, KernelShared, ProcessId, WakeSlot};
 use crate::metrics::MetricsShared;
 use crate::time::{SimDur, SimTime};
 use crate::txn::{TxnEvent, TxnOutcome, TxnSpan};
 
 /// Which execution backend is driving this process.
 enum CtxInner {
-    /// The delta-cycle kernel: blocking calls rendezvous with the
-    /// scheduler.
+    /// The delta-cycle kernel: blocking calls run the scheduler on this
+    /// thread and park on `slot` while other processes run.
     Kernel {
         kernel: Arc<KernelShared>,
         pid: ProcessId,
-        resume_rx: Receiver<Resume>,
-        yield_tx: SyncSender<YieldMsg>,
+        slot: Arc<WakeSlot>,
     },
     /// The direct backend (see [`crate::direct`]): the thread runs free,
     /// time stands still at zero, and any construct needing the event
@@ -47,7 +45,8 @@ enum CtxInner {
 /// `&mut ThreadCtx` for the same reason.
 ///
 /// The same type serves both backends: under the delta-cycle kernel the
-/// blocking calls rendezvous with the scheduler; under the direct backend
+/// blocking calls run the scheduler on the calling thread and hand the
+/// baton to the next due process; under the direct backend
 /// ([`DirectSim`](crate::direct::DirectSim)) the process is a free-running
 /// OS thread and kernel-only constructs abort the run with a
 /// [`Disqualified`](crate::direct::Disqualified) verdict instead.
@@ -56,19 +55,9 @@ pub struct ThreadCtx {
 }
 
 impl ThreadCtx {
-    pub(crate) fn new(
-        kernel: Arc<KernelShared>,
-        pid: ProcessId,
-        resume_rx: Receiver<Resume>,
-        yield_tx: SyncSender<YieldMsg>,
-    ) -> Self {
+    pub(crate) fn new(kernel: Arc<KernelShared>, pid: ProcessId, slot: Arc<WakeSlot>) -> Self {
         ThreadCtx {
-            inner: CtxInner::Kernel {
-                kernel,
-                pid,
-                resume_rx,
-                yield_tx,
-            },
+            inner: CtxInner::Kernel { kernel, pid, slot },
         }
     }
 
@@ -295,9 +284,7 @@ impl ThreadCtx {
         }
         match &mut self.inner {
             CtxInner::Kernel { kernel, pid, .. } => {
-                let timer = kernel.process_timer(*pid);
-                kernel.notify_after(timer, d);
-                kernel.register_wait(*pid, &[timer]);
+                kernel.wait_timer(*pid, d);
                 let _ = self.yield_now();
             }
             CtxInner::Direct { core, .. } => core.disqualify(Construct::TimedWait),
@@ -310,9 +297,7 @@ impl ThreadCtx {
     pub fn wait_delta(&mut self) {
         match &mut self.inner {
             CtxInner::Kernel { kernel, pid, .. } => {
-                let timer = kernel.process_timer(*pid);
-                kernel.notify_delta(timer);
-                kernel.register_wait(*pid, &[timer]);
+                kernel.wait_timer(*pid, SimDur::ZERO);
                 let _ = self.yield_now();
             }
             CtxInner::Direct { core, .. } => {
@@ -322,31 +307,17 @@ impl ThreadCtx {
         }
     }
 
-    /// Hands control to the scheduler and blocks until resumed.
+    /// Hands control to the scheduler and blocks until resumed; returns
+    /// the event that woke the process.
     ///
     /// The caller must have registered a wait beforehand, otherwise the
     /// process never wakes. Kernel backend only; direct-backend blocking is
     /// handled in the channels via [`DirectCore::park`](crate::direct::DirectCore::park).
     fn yield_now(&mut self) -> Option<EventId> {
-        let CtxInner::Kernel {
-            resume_rx,
-            yield_tx,
-            ..
-        } = &mut self.inner
-        else {
+        let CtxInner::Kernel { kernel, pid, slot } = &self.inner else {
             unreachable!("yield_now is only reachable from the kernel backend")
         };
-        yield_tx
-            .send(YieldMsg::Yielded)
-            .expect("kernel disappeared while yielding");
-        match resume_rx.recv() {
-            Ok(Resume::Go(cause)) => cause,
-            Ok(Resume::Kill) | Err(_) => {
-                // Unwind through the process body; caught by the wrapper.
-                // `resume_unwind` skips the panic hook, so teardown is quiet.
-                std::panic::resume_unwind(Box::new(KillToken));
-            }
-        }
+        kernel.yield_process(*pid, slot)
     }
 }
 

@@ -596,6 +596,11 @@ fn watchdog_stops_a_livelocked_model() {
     // Diagnosis still works after a watchdog stop (nobody is in a cycle —
     // the model livelocks rather than deadlocks).
     let _ = sim.diagnose();
+    // The watchdog fired on whichever process thread held the scheduler;
+    // a second run resumes the parked livelock and times out again.
+    let deltas = sim.delta_count();
+    assert_eq!(sim.run().reason, StopReason::Watchdog);
+    assert!(sim.delta_count() > deltas, "the second run made progress");
 }
 
 #[test]
@@ -678,5 +683,186 @@ fn process_panic_message_reaches_the_driving_thread() {
     assert!(
         msg.contains("process 'crasher' panicked") && msg.contains("original cause"),
         "driving-thread panic must carry the original message, got: {msg}"
+    );
+}
+
+#[test]
+fn method_panic_on_a_process_thread_surfaces_from_run() {
+    // The driver's yield runs the scheduler on the driver's own thread, so
+    // the method fires there; its panic must still reach the caller of
+    // `run` with the original payload.
+    let sim = Simulation::new();
+    let ev = sim.event("trigger");
+    let ran_on = Arc::new(Mutex::new(None));
+    {
+        let ran_on = Arc::clone(&ran_on);
+        sim.spawn_method_no_init("fragile", &[&ev], move |_api| {
+            *ran_on.lock().unwrap() = Some(std::thread::current().id());
+            panic!("method exploded");
+        });
+    }
+    sim.spawn_thread("driver", move |ctx| {
+        ctx.wait_for(SimDur::ns(1));
+        ev.notify_delta();
+        ctx.wait_for(SimDur::ns(1));
+    });
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()))
+        .expect_err("method panic must re-raise on the calling thread");
+    let msg = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .expect("the original &str payload");
+    assert_eq!(msg, "method exploded");
+    let ran_on = ran_on.lock().unwrap().expect("method ran");
+    assert_ne!(
+        ran_on,
+        std::thread::current().id(),
+        "the method ran on the driver's thread, not the caller's"
+    );
+}
+
+#[test]
+fn split_runs_resume_in_the_same_order_as_one_run() {
+    // A clock-driven method, a delta ping-pong and timed waits, with
+    // activity exactly at the split point: `run_for(40) + run_for(60)` must
+    // replay `run_for(100)` event for event.
+    fn model(sim: &Simulation) -> Arc<Mutex<Vec<String>>> {
+        let (log, push) = shared_log();
+        let clk = sim.clock("clk", SimDur::ns(20));
+        {
+            let (push, pos) = (push.clone(), clk.posedge().clone());
+            sim.spawn_method_no_init("edge", &[&pos], move |api| {
+                push(&format!("{} edge", api.now().as_ps()));
+            });
+        }
+        let (ping, pong) = (sim.event("ping"), sim.event("pong"));
+        {
+            let (ping, pong, push) = (ping.clone(), pong.clone(), push.clone());
+            sim.spawn_thread("a", move |ctx| loop {
+                ping.notify_delta();
+                push(&format!("{} a", ctx.now().as_ps()));
+                ctx.wait(&pong);
+                ctx.wait_for(SimDur::ns(10));
+            });
+        }
+        {
+            let push = push.clone();
+            sim.spawn_thread("b", move |ctx| loop {
+                ctx.wait(&ping);
+                push(&format!("{} b", ctx.now().as_ps()));
+                pong.notify_delta();
+            });
+        }
+        sim.spawn_thread("c", move |ctx| loop {
+            ctx.wait_for(SimDur::ns(8));
+            push(&format!("{} c", ctx.now().as_ps()));
+        });
+        log
+    }
+    let whole = Simulation::new();
+    let whole_log = model(&whole);
+    let r = whole.run_for(SimDur::ns(100));
+    let split = Simulation::new();
+    let split_log = model(&split);
+    assert_eq!(split.run_for(SimDur::ns(40)).reason, StopReason::TimeLimit);
+    let r2 = split.run_for(SimDur::ns(60));
+    assert_eq!((r2.time, r2.reason), (r.time, r.reason));
+    assert_eq!(split.delta_count(), whole.delta_count());
+    let whole_log = whole_log.lock().unwrap().clone();
+    assert!(
+        whole_log.len() > 30,
+        "the model did real work: {whole_log:?}"
+    );
+    assert_eq!(*split_log.lock().unwrap(), whole_log);
+}
+
+#[test]
+fn dropping_a_simulation_releases_method_and_update_captures() {
+    // Methods and pending signal updates own `Event`/`Signal` handles, and
+    // with them the kernel: teardown must drop them or the kernel (and
+    // everything they capture) is never freed.
+    let sentinel = Arc::new(());
+    let sim = Simulation::new();
+    let ev = sim.event("tick");
+    {
+        let (held, ev_inside) = (Arc::clone(&sentinel), ev.clone());
+        sim.spawn_method("holder", &[&ev], move |_api| {
+            let _ = (&held, &ev_inside);
+        });
+    }
+    let _clock = sim.clock("clk", SimDur::ns(10));
+    sim.run_for(SimDur::ns(25));
+    // A write left pending at drop: its update callback owns the signal.
+    sim.signal("pending", Arc::new(()))
+        .write(Arc::clone(&sentinel));
+    assert_eq!(Arc::strong_count(&sentinel), 3);
+    drop(sim);
+    drop(ev);
+    assert_eq!(
+        Arc::strong_count(&sentinel),
+        1,
+        "method and update captures outlived the simulation"
+    );
+}
+
+/// Live threads of this process whose name starts with `prefix` (thread
+/// names are the process names, truncated to 15 bytes by Linux).
+#[cfg(target_os = "linux")]
+fn live_threads_named(prefix: &str) -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("procfs")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.starts_with(prefix))
+        .count()
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+fn process_threads_exit_with_their_simulation() {
+    // 200 create/run/drop cycles whose runs end by time limit or by
+    // `stop()`, with processes parked mid-wait, before their first dispatch,
+    // and holding the baton when the run ended. The whole-process
+    // `Threads:` count cannot be the gauge here because sibling tests spawn
+    // simulations concurrently; the threads are counted by name instead.
+    for cycle in 0..200u64 {
+        let sim = Simulation::new();
+        let never = sim.event("never");
+        let clk = sim.clock("clk", SimDur::ns(3));
+        {
+            let never = never.clone();
+            sim.spawn_thread("tleak-blocked", move |ctx| ctx.wait(&never));
+        }
+        {
+            let pos = clk.posedge().clone();
+            sim.spawn_thread("tleak-edges", move |ctx| loop {
+                ctx.wait(&pos);
+            });
+        }
+        sim.spawn_thread("tleak-timed", move |ctx| loop {
+            ctx.wait_for(SimDur::ns(7));
+            if cycle % 3 == 1 && ctx.now() >= SimTime::ZERO + SimDur::ns(21) {
+                ctx.stop();
+            }
+        });
+        // Every third simulation never runs: its threads are still parked
+        // before their first dispatch when it drops.
+        let expect = match cycle % 3 {
+            0 => StopReason::TimeLimit,
+            1 => StopReason::Stopped,
+            _ => continue,
+        };
+        let r = sim.run_for(SimDur::ns(50));
+        assert_eq!(r.reason, expect, "cycle {cycle}");
+    }
+    // `join` returns once a thread has finished; the kernel reaps its task
+    // entry right after, so allow it a moment.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while live_threads_named("tleak") > 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    assert_eq!(
+        live_threads_named("tleak"),
+        0,
+        "process threads outlived their simulation"
     );
 }

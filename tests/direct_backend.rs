@@ -23,6 +23,10 @@ type NamedApp = (&'static str, fn() -> AppSpec);
 fn direct_matches_de_on_qualifying_models() {
     let apps: Vec<NamedApp> = vec![
         ("pipeline", || workload::pipeline(5, 12, 128, SimDur::ZERO)),
+        // The E1 pipeline shape the direct/DE comparisons time.
+        ("pipeline_e1", || {
+            workload::pipeline(6, 64, 256, SimDur::ZERO)
+        }),
         ("streams", || workload::parallel_streams(3, 10, 96)),
         ("rpc", || workload::rpc(2, 8, 64, SimDur::ZERO)),
         ("hotspot", || workload::hotspot(3, 4, 64)),
